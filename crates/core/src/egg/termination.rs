@@ -13,7 +13,7 @@ use egg_gpu_sim::{grid_for, Device, DeviceBuffer};
 use crate::algorithms::gpu_sync::{BLOCK, MAX_DIM};
 use crate::exec::{Executor, POINT_CHUNK};
 use crate::grid::device::{seg_start, LaneTables};
-use crate::grid::{CellGrid, DeviceGrid, GridGeometry, PreGrid};
+use crate::grid::{BoxFilter, CellGrid, DeviceGrid, GridGeometry, PreGrid, ReachList, REACH_CAP};
 use crate::kernels::{distance_sq_lanes, LANES};
 use crate::model::delta;
 
@@ -266,11 +266,15 @@ fn shell_pair_reaches(
 
 /// Host-engine counterpart of [`second_term_holds`]: evaluate the second
 /// term of Definition 4.2 over `exec`'s workers, visiting points in the
-/// grid-sorted order of [`CellGrid::point_order`] so consecutive checks
-/// walk the same cells on warm cache lines. Each point is a pure
-/// predicate, so the verdict equals the sequential evaluation —
-/// [`Executor::all`] only short-circuits *how much* work runs once a
-/// draggable pair is found, never the outcome.
+/// grid-sorted order of [`CellGrid::point_order`]. As in
+/// [`crate::egg::update::egg_update_host`], each run of a cell's
+/// consecutive points walks the cell's reach once, dropping box-against-box
+/// the cells past the `ε+δ` shell of the cell's point MBR and the cells
+/// wholly inside ε of it (neither can hold a shell point of any run
+/// point). Each point replays that list with its own MBR prune. Each
+/// point is a pure predicate, so the verdict equals the sequential
+/// evaluation — [`Executor::all`] only short-circuits *how much* work
+/// runs once a draggable pair is found, never the outcome.
 ///
 /// `confined` optionally carries the first-term confinement verdicts of
 /// the update pass on the same state: a confined shell point's
@@ -342,62 +346,87 @@ pub fn second_term_holds_host_range(
             _ => shell_pair_reaches_host(grid, coords, &geo, p, q1, eps_sq, half_sq, dim),
         }
     };
-    debug_assert!(slots.end <= order.len());
-    let slot_base = slots.start;
-    exec.all(slots.len(), POINT_CHUNK, |off| {
-        let p_idx = order[slot_base + off] as usize;
-        let p = &coords[p_idx * dim..(p_idx + 1) * dim];
-        let mut dragged = false;
-        grid.for_each_cell_in_reach(geo.outer_id_of_point(p), |c| {
-            // tight MBR prune — conservative, so the verdict is unchanged:
-            // past the shell no cell point reaches it, and entirely inside
-            // the ε-ball every cell point is a plain ε-neighbor, never a
-            // shell point (this collapses the scan on converged clusters)
-            let (b_lo, b_hi) = grid.cell_bounds(c);
-            if dragged
-                || GridGeometry::min_sq_dist_to_bounds(p, b_lo, b_hi) > shell_sq
-                || GridGeometry::max_sq_dist_to_bounds(p, b_lo, b_hi) <= eps_sq
-            {
-                return;
-            }
-            if use_simd {
-                // four shell-membership distances per step; exact lanes, so
-                // the accepted slots match the scalar scan one for one
-                let slots = grid.cell_range(c);
-                let (lo, hi) = (lane_phase + slots.start, lane_phase + slots.end);
-                for b in lo / LANES..=(hi - 1) / LANES {
-                    let at = b * dim * LANES;
-                    let d_sq = distance_sq_lanes(&lane_coords[at..at + dim * LANES], p).to_array();
-                    for (j, &d2) in d_sq.iter().enumerate() {
-                        let lane = b * LANES + j;
-                        if lane < lo || lane >= hi || d2 <= eps_sq || d2 > shell_sq {
-                            continue;
-                        }
-                        if q1_dragged(p, order[lane - lane_phase] as usize) {
-                            dragged = true;
-                            return;
-                        }
-                    }
-                }
-            } else {
-                for &q1_idx in grid.cell_points(c) {
-                    let q1 = &coords[q1_idx as usize * dim..(q1_idx as usize + 1) * dim];
-                    let mut d_sq = 0.0;
-                    for i in 0..dim {
-                        let d = q1[i] - p[i];
-                        d_sq += d * d;
-                    }
-                    if d_sq <= eps_sq || d_sq > shell_sq {
+    // does cell c hold a shell point of p that can be dragged towards p?
+    let cell_drags = |p: &[f64], c: usize| -> bool {
+        // tight MBR prune — conservative, so the verdict is unchanged:
+        // past the shell no cell point reaches it, and entirely inside the
+        // ε-ball every cell point is a plain ε-neighbor, never a shell
+        // point (this collapses the scan on converged clusters)
+        let (b_lo, b_hi) = grid.cell_bounds(c);
+        if GridGeometry::min_sq_dist_to_bounds(p, b_lo, b_hi) > shell_sq
+            || GridGeometry::max_sq_dist_to_bounds(p, b_lo, b_hi) <= eps_sq
+        {
+            return false;
+        }
+        if use_simd {
+            // four shell-membership distances per step; exact lanes, so
+            // the accepted slots match the scalar scan one for one
+            let slots = grid.cell_range(c);
+            let (lo, hi) = (lane_phase + slots.start, lane_phase + slots.end);
+            for b in lo / LANES..=(hi - 1) / LANES {
+                let at = b * dim * LANES;
+                let d_sq = distance_sq_lanes(&lane_coords[at..at + dim * LANES], p).to_array();
+                for (j, &d2) in d_sq.iter().enumerate() {
+                    let lane = b * LANES + j;
+                    if lane < lo || lane >= hi || d2 <= eps_sq || d2 > shell_sq {
                         continue;
                     }
-                    if q1_dragged(p, q1_idx as usize) {
-                        dragged = true;
-                        return;
+                    if q1_dragged(p, order[lane - lane_phase] as usize) {
+                        return true;
                     }
                 }
             }
-        });
-        !dragged
+            false
+        } else {
+            grid.cell_points(c).iter().any(|&q1_idx| {
+                let q1 = &coords[q1_idx as usize * dim..(q1_idx as usize + 1) * dim];
+                let mut d_sq = 0.0;
+                for i in 0..dim {
+                    let d = q1[i] - p[i];
+                    d_sq += d * d;
+                }
+                d_sq > eps_sq && d_sq <= shell_sq && q1_dragged(p, q1_idx as usize)
+            })
+        }
+    };
+    // the same box tests, run cell against cell once per run (see
+    // ReachList): a dropped cell fails the prune for every run point
+    let filter = Some(BoxFilter {
+        beyond_sq: shell_sq,
+        inside_sq: eps_sq,
+    });
+    debug_assert!(slots.end <= order.len());
+    let slot_base = slots.start;
+    exec.all(slots.len(), POINT_CHUNK, |range| {
+        let mut reach = ReachList::new();
+        for (c_cell, run) in grid.cell_runs(slot_base + range.start..slot_base + range.end) {
+            let listed = run.len() > 1 && reach.build(grid, c_cell, filter, REACH_CAP);
+            let c_oid = grid.outer_id_of_cell(c_cell);
+            for entry in run {
+                let p_idx = order[entry] as usize;
+                let p = &coords[p_idx * dim..(p_idx + 1) * dim];
+                // the list's box verdicts need p inside its cell's MBR, i.e.
+                // `coords` must be the positions the grid was built from
+                debug_assert!({
+                    let (lo, hi) = grid.cell_bounds(c_cell);
+                    (0..dim).all(|i| lo[i] <= p[i] && p[i] <= hi[i])
+                });
+                let dragged = if listed {
+                    // `inside` cells hold no shell point of any run point
+                    reach.iter().any(|(c, inside)| !inside && cell_drags(p, c))
+                } else {
+                    let mut dragged = false;
+                    grid.for_each_cell_in_reach(c_oid, |c| {
+                        dragged = dragged || cell_drags(p, c);
+                    });
+                    dragged
+                };
+                if dragged {
+                    return false;
+                }
+            }
+        }
+        true
     })
 }
 
@@ -513,9 +542,15 @@ mod tests {
     #[test]
     fn host_matches_brute_force_on_hand_built_configurations() {
         let violation = vec![0.50, 0.50, 0.601, 0.50, 0.59, 0.545];
+        // p twice: its cell is a run of two, so the scan goes through the
+        // run's reach list, and the shell point's cell lies past ε (but
+        // inside ε+δ) of the whole run cell — the list must keep it
+        let violation_run = vec![0.50, 0.50, 0.50, 0.50, 0.601, 0.50, 0.59, 0.545];
+        assert!(!criterion_term2_met(&violation_run, 2, 0.1));
         let clean = vec![0.10, 0.10, 0.12, 0.10, 0.90, 0.90, 0.88, 0.90];
         for workers in [1, 4] {
             assert!(!host_second_term(&violation, 2, 0.1, workers));
+            assert!(!host_second_term(&violation_run, 2, 0.1, workers));
             assert!(host_second_term(&clean, 2, 0.1, workers));
         }
     }
@@ -526,6 +561,27 @@ mod tests {
             let coords: Vec<f64> = (0..120)
                 .map(|i| ((i as u64 + seed * 977).wrapping_mul(2654435761) % 1009) as f64 / 1009.0)
                 .collect();
+            let eps = 0.06 + seed as f64 * 0.01;
+            let expected = criterion_term2_met(&coords, 2, eps);
+            for workers in [1, 3, 8] {
+                assert_eq!(
+                    host_second_term(&coords, 2, eps, workers),
+                    expected,
+                    "seed {seed} workers {workers}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn host_matches_brute_force_on_duplicated_random_clouds() {
+        // every point twice: cells become runs of two or more, which the
+        // scan serves from reach lists instead of the per-point walk
+        for seed in 0..6u64 {
+            let mut coords: Vec<f64> = (0..120)
+                .map(|i| ((i as u64 + seed * 977).wrapping_mul(2654435761) % 1009) as f64 / 1009.0)
+                .collect();
+            coords.extend_from_within(..);
             let eps = 0.06 + seed as f64 * 0.01;
             let expected = criterion_term2_met(&coords, 2, eps);
             for workers in [1, 3, 8] {

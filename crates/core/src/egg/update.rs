@@ -1,9 +1,12 @@
 //! The EGG-update kernel (Algorithm 3).
 //!
-//! One device thread per entry of the grid-sorted point array
-//! (`i_points`, §4.2.6). Each thread walks the precomputed non-empty
-//! surrounding outer cells of its point's outer cell (§4.2.5) and, for
-//! every inner cell, classifies it against the ε-ball:
+//! On the device, one thread per entry of the grid-sorted point array
+//! (`i_points`, §4.2.6) walks the precomputed non-empty surrounding outer
+//! cells of its point's outer cell (§4.2.5). The host engine walks that
+//! reach once per *cell run* — the consecutive grid-sorted points of one
+//! cell — and every point of the run replays the list (see
+//! [`egg_update_host`]). Either way, each point classifies every reached
+//! inner cell against its ε-ball:
 //!
 //! * **fully inside** (farthest corner within ε): consume the cell's
 //!   precomputed Σsin/Σcos via the angle-addition identity — no point
@@ -24,7 +27,7 @@ use egg_gpu_sim::{grid_for, primitives, Device, DeviceBuffer};
 
 use crate::algorithms::gpu_sync::{BLOCK, MAX_DIM};
 use crate::exec::{Executor, ScatterWriter, CELL_CHUNK, POINT_CHUNK};
-use crate::grid::{CellGrid, DeviceGrid, GridGeometry, PreGrid};
+use crate::grid::{BoxFilter, CellGrid, DeviceGrid, GridGeometry, PreGrid, ReachList, REACH_CAP};
 use crate::instrument::UpdateCounters;
 use crate::kernels::{avx2_available, pair_term_cell, F64x4, LANES};
 
@@ -666,13 +669,21 @@ pub struct ShardPass<'a> {
 /// Cell classification and the summary consumption are identical to the
 /// device kernel. Points are processed in the grid-sorted order of
 /// [`CellGrid::point_order`] (the host edition of `i_points`, §4.2.6), so
-/// consecutive points share cells and their reach walks hit warm cache
-/// lines; results are scattered back to each point's original row.
-/// `options.use_pregrid` remains structurally unnecessary here: the
-/// preGrid's only job is to skip empty outer cells, and
-/// [`CellGrid::for_each_cell_in_reach`] already does that by binary
-/// searching the sorted index of *non-empty* outer ranges — there is no
-/// per-iteration list to precompute or walk.
+/// the points of a cell form consecutive runs; results are scattered back
+/// to each point's original row. Each run of two or more points walks its
+/// cell's reach once ([`CellGrid::for_each_cell_in_reach`], which skips
+/// empty outer cells by binary search, so `options.use_pregrid` is
+/// structurally unnecessary here) into a fixed-size list on the chunk's
+/// stack. With `options.use_cell_bounds`, that walk also classifies each
+/// reached cell box-against-box through the run cell's point MBR: it drops
+/// cells beyond ε of the whole MBR and marks cells within ε of all of it
+/// for summary consumption. The box distances bound every run point's own
+/// distances in f64 (see [`GridGeometry::min_sq_dist_between_bounds`]),
+/// so each verdict is the one the point would reach itself. Every point
+/// then replays the list in walk order and tests only the unmarked cells.
+/// A single-point run, or a run whose list would overflow, walks the
+/// reach per point. Output bits and counters are those of a per-point
+/// walk.
 ///
 /// `chunk_stats` is reusable per-chunk scratch (`(first-term, counters)`
 /// slots): it is resized to the chunk count and keeps its capacity, so a
@@ -685,8 +696,9 @@ pub struct ShardPass<'a> {
 /// the first-term verdict, bitwise identical to recomputation.
 ///
 /// Determinism: points are processed in fixed [`POINT_CHUNK`]-entry chunks
-/// of the grid-sorted order and each point walks cells in the grid's
-/// sorted order, so `next` is bit-for-bit identical for any worker count.
+/// of the grid-sorted order and each point visits cells in the walk's
+/// fixed order, whether from a run's list or its own walk, so `next` is
+/// bit-for-bit identical for any worker count.
 /// The skip verdicts are a pure function of the mover history, never of
 /// the worker count, so this extends to the incremental path.
 ///
@@ -709,6 +721,36 @@ pub fn egg_update_host(
     chunk_stats: &mut Vec<(bool, UpdateCounters)>,
     state: Option<&mut IncrementalState>,
     shard: Option<&ShardPass>,
+) -> (bool, UpdateCounters) {
+    update_host_pass(
+        exec,
+        grid,
+        coords,
+        next,
+        epsilon,
+        options,
+        chunk_stats,
+        state,
+        shard,
+        REACH_CAP,
+    )
+}
+
+/// [`egg_update_host`] with the reach lists capped at `reach_cap` cells
+/// (at most [`REACH_CAP`]). Tests pass a small cap to force the
+/// per-point fallback walk.
+#[allow(clippy::too_many_arguments)]
+fn update_host_pass(
+    exec: &Executor,
+    grid: &CellGrid,
+    coords: &[f64],
+    next: &mut [f64],
+    epsilon: f64,
+    options: UpdateOptions,
+    chunk_stats: &mut Vec<(bool, UpdateCounters)>,
+    state: Option<&mut IncrementalState>,
+    shard: Option<&ShardPass>,
+    reach_cap: usize,
 ) -> (bool, UpdateCounters) {
     let geo = *grid.geometry();
     let dim = geo.dim;
@@ -796,165 +838,205 @@ pub fn egg_update_host(
     let writer = ScatterWriter::new(next);
     let writer = &writer;
     let slot_base = slots.start;
+    // box-against-box classification of a run's reach list; with cell
+    // bounds off the per-point test uses grid boxes, so the list only
+    // hoists the walk
+    let filter = options.use_cell_bounds.then_some(BoxFilter {
+        beyond_sq: eps_sq,
+        inside_sq: if options.use_summaries {
+            eps_sq
+        } else {
+            f64::NEG_INFINITY
+        },
+    });
     exec.map_ranges_into(slots.len(), POINT_CHUNK, chunk_stats, |range| {
         let mut all_local = true;
         let mut counters = UpdateCounters::default();
-        for off in range {
-            // chunking is over the processed window, so the chunk layout
-            // (hence the reduction order) matches an unsharded pass over
-            // the same points; `entry` stays the grid-sorted slot index
-            let entry = slot_base + off;
-            let p_idx = order[entry] as usize;
-            let c_cell = grid.point_cell()[p_idx] as usize;
-            let p = &coords[p_idx * dim..(p_idx + 1) * dim];
+        let mut reach = ReachList::new();
+        // chunking is over the processed window, so the chunk layout
+        // (hence the reduction order) matches an unsharded pass over the
+        // same points; runs hold grid-sorted slot indices
+        for (c_cell, run) in grid.cell_runs(slot_base + range.start..slot_base + range.end) {
             if let Some((active, cell_skip, moved_w, confined_w)) = inc {
                 if *active && cell_skip[c_cell] {
                     // zero movers in this cell's whole ε-reach: the pass
-                    // would recompute exactly the cached position/verdict
-                    let out = unsafe { writer.row_mut(p_idx * dim, dim) };
-                    out.copy_from_slice(p);
-                    // each point index occurs in exactly one chunk
-                    unsafe {
-                        moved_w.row_mut(p_idx, 1)[0] = false;
-                        all_local &= confined_w.row_mut(p_idx, 1)[0];
+                    // would recompute exactly the cached positions/verdicts
+                    for entry in run.clone() {
+                        let p_idx = order[entry] as usize;
+                        // SAFETY: `order` is a permutation and each slot
+                        // lies in exactly one chunk, so every row and flag
+                        // of `p_idx` has a single writer in this pass
+                        let out = unsafe { writer.row_mut(p_idx * dim, dim) };
+                        out.copy_from_slice(&coords[p_idx * dim..(p_idx + 1) * dim]);
+                        // SAFETY: as above
+                        unsafe {
+                            moved_w.row_mut(p_idx, 1)[0] = false;
+                            all_local &= confined_w.row_mut(p_idx, 1)[0];
+                        }
                     }
-                    if entry == grid.cell_range(c_cell).start {
+                    if run.start == grid.cell_range(c_cell).start {
                         counters.cells_skipped += 1;
                     }
                     continue;
                 }
             }
-            let (mut sin_buf, mut cos_buf) = ([0.0f64; MAX_DIM], [0.0f64; MAX_DIM]);
-            let (sin_p, cos_p): (&[f64], &[f64]) = if options.use_trig_tables {
-                // `entry` is p's grid-sorted slot, the trig table's index
-                (grid.slot_sin(entry), grid.slot_cos(entry))
-            } else {
-                for i in 0..dim {
-                    sin_buf[i] = p[i].sin();
-                    cos_buf[i] = p[i].cos();
-                }
-                (&sin_buf[..dim], &cos_buf[..dim])
-            };
-            let mut sums = [0.0f64; MAX_DIM];
-            // per-dimension lane accumulators of the SIMD pair-term path,
-            // reduced into `sums` once after the whole reach walk
-            let mut lane_acc = [F64x4::ZERO; MAX_DIM];
-            let mut neighbors = 0u64;
-            grid.for_each_cell_in_reach(geo.outer_id_of_point(p), |c| {
-                // classify against the point MBR (tight, still exact) or
-                // the grid box, per `options.use_cell_bounds`
-                let fully_within = if options.use_cell_bounds {
-                    let (lo, hi) = grid.cell_bounds(c);
-                    if GridGeometry::min_sq_dist_to_bounds(p, lo, hi) > eps_sq {
-                        return;
-                    }
-                    options.use_summaries
-                        && GridGeometry::max_sq_dist_to_bounds(p, lo, hi) <= eps_sq
+            // one reach walk per run; a single point walks directly, and
+            // so does a run whose list would overflow
+            let listed = run.len() > 1 && reach.build(grid, c_cell, filter, reach_cap);
+            let c_oid = grid.outer_id_of_cell(c_cell);
+            for entry in run {
+                let p_idx = order[entry] as usize;
+                let p = &coords[p_idx * dim..(p_idx + 1) * dim];
+                // the list's box verdicts need p inside its cell's MBR, i.e.
+                // `coords` must be the positions the grid was built from
+                debug_assert!({
+                    let (lo, hi) = grid.cell_bounds(c_cell);
+                    (0..dim).all(|i| lo[i] <= p[i] && p[i] <= hi[i])
+                });
+                let (mut sin_buf, mut cos_buf) = ([0.0f64; MAX_DIM], [0.0f64; MAX_DIM]);
+                let (sin_p, cos_p): (&[f64], &[f64]) = if options.use_trig_tables {
+                    // `entry` is p's grid-sorted slot, the trig table's index
+                    (grid.slot_sin(entry), grid.slot_cos(entry))
                 } else {
-                    let key = grid.cell_key(c);
-                    if geo.min_sq_dist_to_cell(p, key) > eps_sq {
-                        return;
-                    }
-                    options.use_summaries && geo.max_sq_dist_to_cell(p, key) <= eps_sq
-                };
-                if fully_within {
-                    let (sin_sums, cos_sums) = (grid.sin_sums(c), grid.cos_sums(c));
                     for i in 0..dim {
-                        sums[i] += cos_p[i] * sin_sums[i] - sin_p[i] * cos_sums[i];
+                        sin_buf[i] = p[i].sin();
+                        cos_buf[i] = p[i].cos();
                     }
-                    let len = grid.cell_len(c) as u64;
-                    neighbors += len;
-                    counters.summary_cells += 1;
-                    counters.sin_calls_avoided += dim as u64 * len;
-                } else if use_lane {
-                    let slots = grid.cell_range(c);
-                    counters.point_pairs += slots.len() as u64;
-                    // stripe the cell's slot range in whole lane blocks of
-                    // the lane-blocked tables; the first/last block mask
-                    // off slots outside the range. Lane distances are
-                    // exact, so the neighbor count matches the scalar path
-                    // bit for bit — only the pair-term sum reassociates.
-                    // (Lane counters use the minimal covering block count,
-                    // a pure function of the cell size shared with the
-                    // device kernel; a straddling range may touch one
-                    // extra block.)
-                    let lanes = (slots.len().div_ceil(LANES) * LANES) as u64;
-                    counters.simd_lanes += lanes;
-                    counters.simd_remainder_lanes += lanes - slots.len() as u64;
-                    let hits = pair_term_cell(
-                        lane_coords,
-                        lane_sin,
-                        lane_cos,
-                        dim,
-                        lane_phase + slots.start,
-                        lane_phase + slots.end,
-                        p,
-                        sin_p,
-                        cos_p,
-                        eps_sq,
-                        &mut lane_acc[..dim],
-                        use_avx2,
-                    );
-                    neighbors += u64::from(hits);
-                    counters.sin_calls_avoided += dim as u64 * u64::from(hits);
-                } else {
-                    let slots = grid.cell_range(c);
-                    counters.point_pairs += slots.len() as u64;
-                    // walk the cell by slot: q's coordinates are looked up
-                    // through the order permutation, but the trig rows are
-                    // the contiguous block `slots` of the table
-                    for slot in slots {
-                        let q_idx = order[slot] as usize;
-                        let q = &coords[q_idx * dim..(q_idx + 1) * dim];
-                        let mut dist_sq = 0.0;
-                        for i in 0..dim {
-                            let d = q[i] - p[i];
-                            dist_sq += d * d;
+                    (&sin_buf[..dim], &cos_buf[..dim])
+                };
+                let mut sums = [0.0f64; MAX_DIM];
+                // per-dimension lane accumulators of the SIMD pair-term
+                // path, reduced into `sums` once after the whole reach
+                let mut lane_acc = [F64x4::ZERO; MAX_DIM];
+                let mut neighbors = 0u64;
+                // `inside`: the run's box test already certified the cell
+                // fully within ε of every run point
+                let mut visit = |c: usize, inside: bool| {
+                    // classify against the point MBR (tight, still exact)
+                    // or the grid box, per `options.use_cell_bounds`
+                    let fully_within = if inside {
+                        true
+                    } else if options.use_cell_bounds {
+                        let (lo, hi) = grid.cell_bounds(c);
+                        if GridGeometry::min_sq_dist_to_bounds(p, lo, hi) > eps_sq {
+                            return;
                         }
-                        if dist_sq <= eps_sq {
-                            neighbors += 1;
-                            if options.use_trig_tables {
-                                let (sin_q, cos_q) = (grid.slot_sin(slot), grid.slot_cos(slot));
-                                // sin(q−p) = sin q · cos p − cos q · sin p
-                                for i in 0..dim {
-                                    sums[i] += sin_q[i] * cos_p[i] - cos_q[i] * sin_p[i];
-                                }
-                                counters.sin_calls_avoided += dim as u64;
-                            } else {
-                                for i in 0..dim {
-                                    sums[i] += (q[i] - p[i]).sin();
+                        options.use_summaries
+                            && GridGeometry::max_sq_dist_to_bounds(p, lo, hi) <= eps_sq
+                    } else {
+                        let key = grid.cell_key(c);
+                        if geo.min_sq_dist_to_cell(p, key) > eps_sq {
+                            return;
+                        }
+                        options.use_summaries && geo.max_sq_dist_to_cell(p, key) <= eps_sq
+                    };
+                    if fully_within {
+                        let (sin_sums, cos_sums) = (grid.sin_sums(c), grid.cos_sums(c));
+                        for i in 0..dim {
+                            sums[i] += cos_p[i] * sin_sums[i] - sin_p[i] * cos_sums[i];
+                        }
+                        let len = grid.cell_len(c) as u64;
+                        neighbors += len;
+                        counters.summary_cells += 1;
+                        counters.sin_calls_avoided += dim as u64 * len;
+                    } else if use_lane {
+                        let slots = grid.cell_range(c);
+                        counters.point_pairs += slots.len() as u64;
+                        // stripe the cell's slot range in whole lane blocks
+                        // of the lane-blocked tables; the first/last block
+                        // mask off slots outside the range. Lane distances
+                        // are exact, so the neighbor count matches the
+                        // scalar path bit for bit — only the pair-term sum
+                        // reassociates. (Lane counters use the minimal
+                        // covering block count, a pure function of the
+                        // cell size shared with the device kernel; a
+                        // straddling range may touch one extra block.)
+                        let lanes = (slots.len().div_ceil(LANES) * LANES) as u64;
+                        counters.simd_lanes += lanes;
+                        counters.simd_remainder_lanes += lanes - slots.len() as u64;
+                        let hits = pair_term_cell(
+                            lane_coords,
+                            lane_sin,
+                            lane_cos,
+                            dim,
+                            lane_phase + slots.start,
+                            lane_phase + slots.end,
+                            p,
+                            sin_p,
+                            cos_p,
+                            eps_sq,
+                            &mut lane_acc[..dim],
+                            use_avx2,
+                        );
+                        neighbors += u64::from(hits);
+                        counters.sin_calls_avoided += dim as u64 * u64::from(hits);
+                    } else {
+                        let slots = grid.cell_range(c);
+                        counters.point_pairs += slots.len() as u64;
+                        // walk the cell by slot: q's coordinates are looked
+                        // up through the order permutation, but the trig
+                        // rows are the contiguous block `slots` of the table
+                        for slot in slots {
+                            let q_idx = order[slot] as usize;
+                            let q = &coords[q_idx * dim..(q_idx + 1) * dim];
+                            let mut dist_sq = 0.0;
+                            for i in 0..dim {
+                                let d = q[i] - p[i];
+                                dist_sq += d * d;
+                            }
+                            if dist_sq <= eps_sq {
+                                neighbors += 1;
+                                if options.use_trig_tables {
+                                    let (sin_q, cos_q) = (grid.slot_sin(slot), grid.slot_cos(slot));
+                                    // sin(q−p) = sin q · cos p − cos q · sin p
+                                    for i in 0..dim {
+                                        sums[i] += sin_q[i] * cos_p[i] - cos_q[i] * sin_p[i];
+                                    }
+                                    counters.sin_calls_avoided += dim as u64;
+                                } else {
+                                    for i in 0..dim {
+                                        sums[i] += (q[i] - p[i]).sin();
+                                    }
                                 }
                             }
                         }
                     }
+                };
+                if listed {
+                    for (c, inside) in reach.iter() {
+                        visit(c, inside);
+                    }
+                } else {
+                    grid.for_each_cell_in_reach(c_oid, |c| visit(c, false));
                 }
-            });
-            if use_lane {
-                // one ordered cross-lane fold per dimension — the sole
-                // reassociation relative to the scalar oracle
+                if use_lane {
+                    // one ordered cross-lane fold per dimension — the sole
+                    // reassociation relative to the scalar oracle
+                    for i in 0..dim {
+                        sums[i] += lane_acc[i].reduce_sum();
+                    }
+                }
+                let inv = 1.0 / neighbors as f64;
+                // SAFETY: disjoint rows — `order` is a permutation of the
+                // point indices and each slot lies in exactly one chunk
+                let out = unsafe { writer.row_mut(p_idx * dim, dim) };
+                let mut any_moved = false;
                 for i in 0..dim {
-                    sums[i] += lane_acc[i].reduce_sum();
+                    out[i] = p[i] + sums[i] * inv;
+                    any_moved |= out[i].to_bits() != p[i].to_bits();
                 }
-            }
-            let inv = 1.0 / neighbors as f64;
-            // disjoint rows: `order` is a permutation of the point indices
-            let out = unsafe { writer.row_mut(p_idx * dim, dim) };
-            let mut any_moved = false;
-            for i in 0..dim {
-                out[i] = p[i] + sums[i] * inv;
-                any_moved |= out[i].to_bits() != p[i].to_bits();
-            }
-            // first term of Definition 4.2, host edition
-            let confined = neighbors == grid.cell_len(c_cell) as u64;
-            all_local &= confined;
-            if let Some((_, _, moved_w, confined_w)) = inc {
-                // each point index occurs in exactly one chunk
-                unsafe {
-                    moved_w.row_mut(p_idx, 1)[0] = any_moved;
-                    confined_w.row_mut(p_idx, 1)[0] = confined;
-                }
-                if any_moved {
-                    counters.moved_points += 1;
+                // first term of Definition 4.2, host edition
+                let confined = neighbors == grid.cell_len(c_cell) as u64;
+                all_local &= confined;
+                if let Some((_, _, moved_w, confined_w)) = inc {
+                    // SAFETY: each point index occurs in exactly one chunk
+                    unsafe {
+                        moved_w.row_mut(p_idx, 1)[0] = any_moved;
+                        confined_w.row_mut(p_idx, 1)[0] = confined;
+                    }
+                    if any_moved {
+                        counters.moved_points += 1;
+                    }
                 }
             }
         }
@@ -1305,6 +1387,62 @@ mod tests {
                 },
             );
             assert_eq!(host, device, "fused = {fused}");
+        }
+    }
+
+    /// A run whose reach list overflows falls back to walking the reach
+    /// per point. Forcing that fallback everywhere (cap 0) must give the
+    /// list path's output bit for bit — positions, first term and every
+    /// counter — under each classification mode, including over the
+    /// incremental path's skipped cells.
+    #[test]
+    fn reach_list_fallback_is_bitwise_identical_to_the_list() {
+        let mut dupes = cloud(300, 3);
+        dupes.extend_from_within(..600);
+        for (coords, dim, eps) in [(cloud(2000, 2), 2, 0.05), (dupes, 3, 0.15)] {
+            let n = coords.len() / dim;
+            let geo = GridGeometry::new(dim, eps, n, GridVariant::Auto);
+            let exec = Executor::new(Some(3));
+            for options in [
+                UpdateOptions::default(),
+                UpdateOptions {
+                    use_cell_bounds: false,
+                    ..UpdateOptions::default()
+                },
+                UpdateOptions {
+                    use_summaries: false,
+                    use_simd: false,
+                    ..UpdateOptions::default()
+                },
+            ] {
+                let run = |cap: usize| {
+                    let mut grid = CellGrid::new(geo);
+                    let mut state = IncrementalState::new();
+                    let (mut cur, mut next) = (coords.clone(), vec![0.0; coords.len()]);
+                    let mut out = Vec::new();
+                    for _ in 0..3 {
+                        grid.refresh(&exec, &cur, state.moved_flags());
+                        let (first_term, counters) = update_host_pass(
+                            &exec,
+                            &grid,
+                            &cur,
+                            &mut next,
+                            eps,
+                            options,
+                            &mut Vec::new(),
+                            Some(&mut state),
+                            None,
+                            cap,
+                        );
+                        state.finish_pass(&geo, &cur, &next);
+                        std::mem::swap(&mut cur, &mut next);
+                        let bits = cur.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        out.push((bits, first_term, counters));
+                    }
+                    out
+                };
+                assert_eq!(run(0), run(REACH_CAP), "dim {dim}, {options:?}");
+            }
         }
     }
 

@@ -573,19 +573,22 @@ impl Executor {
         unsafe { assume_init_vec(results) }
     }
 
-    /// Evaluate the pure predicate over every index in `0..n`, returning
-    /// whether it held everywhere. Chunks short-circuit: once any index
-    /// fails, remaining chunks are abandoned (already-running chunks
-    /// finish their current index). The verdict is deterministic because
-    /// the predicate is pure — only *how much* work is skipped varies.
+    /// Evaluate the pure predicate over `chunk_len`-index ranges covering
+    /// `0..n`, returning whether it held on every range. A range predicate
+    /// lets the caller share work between neighboring indices. Chunks
+    /// short-circuit: once any range fails, remaining chunks are abandoned
+    /// (already-running chunks finish their range). The verdict is
+    /// deterministic because the predicate is pure — only *how much* work
+    /// is skipped varies. With one worker the predicate sees `0..n` whole;
+    /// an empty domain holds without calling it.
     pub fn all<F>(&self, n: usize, chunk_len: usize, pred: F) -> bool
     where
-        F: Fn(usize) -> bool + Sync,
+        F: Fn(Range<usize>) -> bool + Sync,
     {
         let chunk_len = chunk_len.max(1);
         let n_chunks = n.div_ceil(chunk_len);
         if self.workers == 1 || n_chunks <= 1 {
-            return (0..n).all(pred);
+            return n == 0 || pred(0..n);
         }
         let ok = AtomicBool::new(true);
         let (ok_ref, pred, next) = (&ok, &pred, AtomicUsize::new(0));
@@ -595,11 +598,8 @@ impl Executor {
                 if c >= n_chunks {
                     break;
                 }
-                for i in c * chunk_len..((c + 1) * chunk_len).min(n) {
-                    if !pred(i) {
-                        ok_ref.store(false, Ordering::Relaxed);
-                        break;
-                    }
+                if !pred(c * chunk_len..((c + 1) * chunk_len).min(n)) {
+                    ok_ref.store(false, Ordering::Relaxed);
                 }
             }
         });
@@ -684,8 +684,8 @@ mod tests {
     fn all_matches_sequential_verdict() {
         for workers in [1, 4] {
             for exec in both_modes(workers) {
-                assert!(exec.all(5000, 64, |i| i < 5000));
-                assert!(!exec.all(5000, 64, |i| i != 4321));
+                assert!(exec.all(5000, 64, |mut r| r.all(|i| i < 5000)));
+                assert!(!exec.all(5000, 64, |mut r| r.all(|i| i != 4321)));
                 assert!(exec.all(0, 64, |_| false), "vacuous truth on empty domain");
             }
         }

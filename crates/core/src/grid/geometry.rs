@@ -264,6 +264,49 @@ impl GridGeometry {
         acc
     }
 
+    /// Lower bound, over every point `p` of the box `[a_lo, a_hi]`, of
+    /// [`GridGeometry::min_sq_dist_to_bounds`]`(p, lo, hi)` — **in f64, not
+    /// just in exact arithmetic**. Per dimension it evaluates that
+    /// function's distance term at the box coordinate nearest `[lo, hi]`
+    /// (or takes 0 when the intervals overlap). The term is non-increasing
+    /// left of `lo` and non-decreasing right of `hi`, because rounded
+    /// subtraction is monotone in each operand. Squaring a non-negative
+    /// value and adding terms in the same dimension order are monotone
+    /// too, so the bound holds for the rounded sums.
+    #[inline]
+    pub fn min_sq_dist_between_bounds(a_lo: &[f64], a_hi: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for i in 0..a_lo.len() {
+            let d = if a_hi[i] < lo[i] {
+                lo[i] - a_hi[i]
+            } else if a_lo[i] > hi[i] {
+                a_lo[i] - hi[i]
+            } else {
+                0.0
+            };
+            acc += d * d;
+        }
+        acc
+    }
+
+    /// Upper bound, over every point `p` of the box `[a_lo, a_hi]`, of
+    /// [`GridGeometry::max_sq_dist_to_bounds`]`(p, lo, hi)`, again in f64.
+    /// Per dimension, that function's term `|p − lo| ∨ |p − hi|` is the
+    /// larger of two terms, each the absolute value of a rounded
+    /// difference monotone in `p`. Each falls then rises as `p` grows, so
+    /// on an interval it peaks at an end. The bound evaluates the same
+    /// expression at `a_lo` and `a_hi` and keeps the larger value.
+    #[inline]
+    pub fn max_sq_dist_between_bounds(a_lo: &[f64], a_hi: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for i in 0..a_lo.len() {
+            let at = |x: f64| (x - lo[i]).abs().max((x - hi[i]).abs());
+            let d = at(a_lo[i]).max(at(a_hi[i]));
+            acc += d * d;
+        }
+        acc
+    }
+
     /// Number of surrounding outer cells per dimension (`v = 2·reach + 1`).
     #[inline]
     pub fn surround_per_dim(&self) -> usize {

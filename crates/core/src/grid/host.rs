@@ -1069,6 +1069,23 @@ impl CellGrid {
         lo
     }
 
+    /// The cell runs of the grid-sorted slot window `slots`, in order: each
+    /// cell holding slots of the window, with the slots it holds there.
+    pub(crate) fn cell_runs(
+        &self,
+        slots: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
+        let mut start = slots.start;
+        std::iter::from_fn(move || {
+            (start < slots.end).then(|| {
+                let c = self.point_cell[self.cell_points[start] as usize] as usize;
+                let run = start..self.cell_range(c).end.min(slots.end);
+                start = run.end;
+                (c, run)
+            })
+        })
+    }
+
     /// Grid-sorted slot range covered by a contiguous compacted-cell
     /// range — the owned-slot window the sharded update pass iterates.
     pub fn slots_of_cells(&self, cells: std::ops::Range<usize>) -> std::ops::Range<usize> {
@@ -1093,55 +1110,13 @@ impl CellGrid {
     }
 
     /// Invoke `f` with the compacted index of every non-empty cell in the
-    /// outer cells surrounding (and including) outer cell `oid` — the
-    /// host analogue of the preGrid walk (§4.2.5): empty outer buckets
-    /// are skipped by a binary search over the sorted non-empty outer
-    /// ranges instead of a precomputed list.
+    /// outer cells surrounding (and including) outer cell `oid`, in outer
+    /// offset order and then sorted cell order. Empty outer buckets are
+    /// skipped by a binary search over the sorted non-empty outer ranges.
+    /// The hot loops walk this once per cell run through `ReachList`,
+    /// the host analogue of the preGrid list (§4.2.5).
     pub fn for_each_cell_in_reach(&self, oid: usize, mut f: impl FnMut(usize)) {
-        let geo = &self.geometry;
-        let d = geo.outer_dims;
-        let v = geo.surround_per_dim();
-        // When far fewer outer cells are occupied than the surround volume
-        // v^d' — narrow cells, high reach, or a converged dataset collapsed
-        // into a handful of cells — enumerating offsets wastes a binary
-        // search per empty bucket (729 probes per point for 3 cells on the
-        // converged Skin workload). Instead, filter the occupied list by
-        // the reach box and replay it in the exact offset-enumeration
-        // order, so every caller sees the identical visit sequence (the
-        // summary accumulation order is part of the bitwise contract).
-        const SMALL_OCCUPANCY: usize = 64;
-        let occupied = self.outer_index.len();
-        if d > 0 && occupied <= SMALL_OCCUPANCY && occupied < v.pow(d as u32) {
-            let mut base = [0u64; 64];
-            geo.outer_coords_of_id(oid, &mut base[..d]);
-            // (offset-enumeration key k, outer_index entry); dim 0 is k's
-            // least-significant digit, exactly as in the offset loop
-            let mut in_reach = [(0u64, 0u32); SMALL_OCCUPANCY];
-            let mut len = 0usize;
-            let mut coords = [0u64; 64];
-            'entries: for (e, &(id, _, _)) in self.outer_index.iter().enumerate() {
-                geo.outer_coords_of_id(id as usize, &mut coords[..d]);
-                let mut k = 0u64;
-                for i in (0..d).rev() {
-                    let off = coords[i] as i64 - base[i] as i64;
-                    if off.unsigned_abs() as usize > geo.reach {
-                        continue 'entries;
-                    }
-                    k = k * v as u64 + (off + geo.reach as i64) as u64;
-                }
-                in_reach[len] = (k, e as u32);
-                len += 1;
-            }
-            in_reach[..len].sort_unstable();
-            for &(_, e) in &in_reach[..len] {
-                let (_, lo, hi) = self.outer_index[e as usize];
-                for c in lo..hi {
-                    f(c as usize);
-                }
-            }
-            return;
-        }
-        geo.for_each_surrounding_outer(oid, |o| {
+        self.geometry.for_each_surrounding_outer(oid, |o| {
             let o = o as u64;
             if let Ok(e) = self.outer_index.binary_search_by_key(&o, |&(id, _, _)| id) {
                 let (_, lo, hi) = self.outer_index[e];
@@ -1150,6 +1125,12 @@ impl CellGrid {
                 }
             }
         });
+    }
+
+    /// The outer cell of compacted cell `c` — the outer cell of every one
+    /// of its points, so the reach walked from it is each point's reach.
+    pub(crate) fn outer_id_of_cell(&self, c: usize) -> usize {
+        self.geometry.outer_id_of_coords(self.cell_key(c))
     }
 
     /// Approximate heap footprint of the structure in bytes (Figure 3h's
@@ -1179,6 +1160,103 @@ impl CellGrid {
             + self.point_slot_scratch.len() * 4
             + self.trig_scratch.len() * 8
             + self.sums_scratch.len() * 8
+    }
+}
+
+/// Most cells a [`ReachList`] holds. A run whose kept reach is longer
+/// walks the reach once per point instead.
+pub(crate) const REACH_CAP: usize = 256;
+
+/// Box-against-box classification applied by [`ReachList::build`]: the
+/// run cell's point MBR against each reached cell's point MBR.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BoxFilter {
+    /// Drop a reached cell whose minimum box distance² exceeds this.
+    pub beyond_sq: f64,
+    /// Tag a reached cell "inside" when its maximum box distance² is at
+    /// most this (`f64::NEG_INFINITY` tags none).
+    pub inside_sq: f64,
+}
+
+/// The ε-reach of one cell, walked once and replayed by every point of a
+/// run of grid-sorted points in that cell. It is the host edition of the
+/// preGrid list (§4.2.5), built per cell instead of per outer cell, and
+/// kept in fixed-size storage on the caller's stack, so it allocates
+/// nothing.
+///
+/// Each kept cell carries an `inside` tag from the optional
+/// [`BoxFilter`]. Every point of the run lies inside the run cell's point
+/// MBR, so [`GridGeometry::min_sq_dist_between_bounds`] and
+/// [`GridGeometry::max_sq_dist_between_bounds`] bound that point's own
+/// [`GridGeometry::min_sq_dist_to_bounds`] and
+/// [`GridGeometry::max_sq_dist_to_bounds`] from below and above, even
+/// after f64 rounding. A dropped cell would therefore fail the per-point
+/// test for every point of the run. An `inside` cell would pass it. The
+/// replay visits the kept cells in walk order, so each point sees the
+/// same cells, in the same order, with the same verdicts as a per-point
+/// walk.
+pub(crate) struct ReachList {
+    cells: [u32; REACH_CAP],
+    inside: [bool; REACH_CAP],
+    len: usize,
+}
+
+impl ReachList {
+    /// An empty list.
+    pub(crate) fn new() -> Self {
+        Self {
+            cells: [0; REACH_CAP],
+            inside: [false; REACH_CAP],
+            len: 0,
+        }
+    }
+
+    /// Walk the reach of cell `c` of `grid` once and keep its cells, in
+    /// walk order, minus the cells `filter` drops. Returns `false`, and
+    /// leaves the list empty, when more than `cap` cells (at most
+    /// [`REACH_CAP`]) would be kept; the caller then walks per point.
+    pub(crate) fn build(
+        &mut self,
+        grid: &CellGrid,
+        c: usize,
+        filter: Option<BoxFilter>,
+        cap: usize,
+    ) -> bool {
+        let cap = cap.min(REACH_CAP);
+        let (a_lo, a_hi) = grid.cell_bounds(c);
+        let (mut len, mut fits) = (0usize, true);
+        grid.for_each_cell_in_reach(grid.outer_id_of_cell(c), |r| {
+            if !fits {
+                return;
+            }
+            let inside = match filter {
+                None => false,
+                Some(f) => {
+                    let (lo, hi) = grid.cell_bounds(r);
+                    if GridGeometry::min_sq_dist_between_bounds(a_lo, a_hi, lo, hi) > f.beyond_sq {
+                        return;
+                    }
+                    GridGeometry::max_sq_dist_between_bounds(a_lo, a_hi, lo, hi) <= f.inside_sq
+                }
+            };
+            if len == cap {
+                fits = false;
+                return;
+            }
+            self.cells[len] = r as u32;
+            self.inside[len] = inside;
+            len += 1;
+        });
+        self.len = if fits { len } else { 0 };
+        fits
+    }
+
+    /// The kept cells in walk order, each with its `inside` tag.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+        self.cells[..self.len]
+            .iter()
+            .zip(&self.inside[..self.len])
+            .map(|(&c, &inside)| (c as usize, inside))
     }
 }
 
@@ -1604,5 +1682,135 @@ mod tests {
         // wrong flag length → rebuild
         let stats = grid.refresh(&exec, &coords, Some(&[false; 199]));
         assert!(stats.full_rebuild);
+    }
+
+    /// Adversarial layout for the reach-list lemma: coordinates exactly on
+    /// cell boundaries or one ulp off them, heavy duplicates, and points
+    /// exactly ε (or a multiple of the cell width) apart along an axis —
+    /// all packed into a window a few ε wide so cells interact.
+    fn adversarial_layout(seed: u64, g: &GridGeometry) -> Vec<f64> {
+        let (dim, eps, cw) = (g.dim, g.epsilon, g.cell_width);
+        // a window of cells per dimension, all inside the unit cube
+        let window = g.width.min(14) as u64;
+        let mut state = seed | 1;
+        let mut next = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        let n = 40 + next(120) as usize;
+        let base = next(g.width as u64 - window + 1);
+        let mut coords: Vec<f64> = Vec::with_capacity(n * dim);
+        for p in 0..n {
+            let prev = (p > 0).then(|| next(p as u64) as usize);
+            match (prev, next(6)) {
+                // duplicate an earlier point
+                (Some(q), 0 | 1) => {
+                    let row = coords[q * dim..(q + 1) * dim].to_vec();
+                    coords.extend_from_slice(&row);
+                }
+                // an earlier point moved by exactly ε, or by k cell widths,
+                // along one axis
+                (Some(q), 2) => {
+                    let mut row = coords[q * dim..(q + 1) * dim].to_vec();
+                    let axis = next(dim as u64) as usize;
+                    let step = if next(2) == 0 {
+                        eps
+                    } else {
+                        (1 + next(4)) as f64 * cw
+                    };
+                    row[axis] += if row[axis] + step <= 1.0 { step } else { -step };
+                    coords.extend_from_slice(&row);
+                }
+                _ => {
+                    for _ in 0..dim {
+                        let k = (base + next(window)) as f64;
+                        let x = match next(4) {
+                            0 => k * cw,
+                            1 => (k * cw).next_up(),
+                            2 => (k * cw).next_down(),
+                            _ => (k + next(1000) as f64 / 1000.0) * cw,
+                        };
+                        coords.push(x.clamp(0.0, 1.0));
+                    }
+                }
+            }
+        }
+        coords
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 48, ..proptest::ProptestConfig::default() })]
+
+        /// The lemma behind `ReachList`: wherever the cell-against-cell
+        /// test of a run cell's point MBR says "disjoint" or "all inside",
+        /// every point of the run cell gets the same verdict from the
+        /// per-point test, in f64. Checked for the update's ε threshold
+        /// and the termination's shell, on every (cell, reached cell)
+        /// pair; the kept list must equal the filtered walk.
+        #[test]
+        fn box_verdicts_agree_with_every_point_of_the_cell(
+            seed in proptest::any::<u64>(),
+            dim in 2usize..=8,
+            eps_pick in 0usize..3
+        ) {
+            // 0.2 with d = 4 makes ε exactly 4 cell widths
+            let eps = [0.05, 0.2, 0.1][eps_pick];
+            let probe = GridGeometry::new(dim, eps, 1, GridVariant::Auto);
+            let coords = adversarial_layout(seed, &probe);
+            let n = coords.len() / dim;
+            let g = GridGeometry::new(dim, eps, n, GridVariant::Auto);
+            let grid = CellGrid::build(&Executor::sequential(), g, &coords);
+            let eps_sq = eps * eps;
+            let shell = eps + crate::model::delta(eps);
+            let filter = BoxFilter { beyond_sq: eps_sq, inside_sq: eps_sq };
+            let (mut dropped, mut inside) = (0usize, 0usize);
+            let mut list = ReachList::new();
+            for c in 0..grid.num_cells() {
+                let (a_lo, a_hi) = grid.cell_bounds(c);
+                let mut expected = Vec::new();
+                grid.for_each_cell_in_reach(grid.outer_id_of_cell(c), |r| {
+                    let (lo, hi) = grid.cell_bounds(r);
+                    let box_min = GridGeometry::min_sq_dist_between_bounds(a_lo, a_hi, lo, hi);
+                    let box_max = GridGeometry::max_sq_dist_between_bounds(a_lo, a_hi, lo, hi);
+                    for t in [eps_sq, shell * shell] {
+                        for &p_idx in grid.cell_points(c) {
+                            let p = row(&coords, dim, p_idx as usize);
+                            if box_min > t {
+                                assert!(GridGeometry::min_sq_dist_to_bounds(p, lo, hi) > t);
+                            }
+                            if box_max <= t {
+                                assert!(GridGeometry::max_sq_dist_to_bounds(p, lo, hi) <= t);
+                            }
+                        }
+                    }
+                    if box_min > eps_sq {
+                        dropped += 1;
+                    } else {
+                        inside += usize::from(box_max <= eps_sq);
+                        expected.push((r, box_max <= eps_sq));
+                    }
+                });
+                assert!(list.build(&grid, c, Some(filter), REACH_CAP));
+                assert_eq!(list.iter().collect::<Vec<_>>(), expected, "cell {c}");
+            }
+            // both verdicts must actually fire on these layouts
+            assert!(dropped > 0 && inside > 0, "dropped {dropped}, inside {inside}");
+        }
+    }
+
+    #[test]
+    fn reach_list_reports_overflow_and_keeps_nothing() {
+        let coords = pseudo_cloud(400, 2);
+        let g = GridGeometry::new(2, 0.08, 200, GridVariant::Auto);
+        let grid = CellGrid::build(&Executor::sequential(), g, &coords);
+        let mut walk = 0usize;
+        grid.for_each_cell_in_reach(grid.outer_id_of_cell(0), |_| walk += 1);
+        let mut list = ReachList::new();
+        assert!(list.build(&grid, 0, None, walk));
+        assert_eq!(list.iter().count(), walk, "no filter keeps the whole walk");
+        assert!(!list.build(&grid, 0, None, walk - 1));
+        assert_eq!(list.iter().count(), 0);
     }
 }

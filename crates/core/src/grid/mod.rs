@@ -27,4 +27,5 @@ mod host;
 
 pub use device::{DeviceGrid, DeviceRefreshStats, GridWorkspace, PreGrid};
 pub use geometry::{GridGeometry, GridVariant, ShardPlan, MAX_OUTER_CELLS, MAX_SURROUND_ENUM};
+pub(crate) use host::{BoxFilter, ReachList, REACH_CAP};
 pub use host::{CellGrid, GridRefreshStats, HostGrid};

@@ -3,12 +3,13 @@
 //! loop — grid rebuild, EGG-update, exact-termination check, ping-pong
 //! swap — performs **zero heap allocations**.
 //!
-//! The test binary installs a counting `#[global_allocator]`, so it lives
-//! in its own integration-test target to leave every other test unaffected.
-//! It drives the sequential executor: worker threads are spawned per stage
-//! with `std::thread::scope`, which allocates in the standard library, so
-//! the allocation-free guarantee applies to the algorithm's own buffers —
-//! exactly what `Executor::sequential()` isolates.
+//! The test binary installs a counting `#[global_allocator]`, which counts
+//! every thread of the process. It is therefore a `harness = false` target
+//! with a plain `main` that runs the checks one after another: under the
+//! default test harness, checks running on other threads would add their
+//! own allocations to a measured section. Each check drives its own
+//! executor, and an executor's pool threads are joined before the next
+//! check starts, so each measured section only sees its own work.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +54,6 @@ fn cloud(n: usize, dim: usize) -> Vec<f64> {
         .collect()
 }
 
-#[test]
 fn steady_state_iterations_do_not_allocate() {
     let (n, dim, eps) = (3000, 2, 0.05);
     let exec = Executor::sequential();
@@ -104,7 +104,6 @@ fn steady_state_iterations_do_not_allocate() {
     );
 }
 
-#[test]
 fn incremental_steady_state_does_not_allocate() {
     // same contract for the incremental pipeline: grid refresh driven by
     // the mover flags, skip-aware update, confinement-narrowed second term
@@ -157,7 +156,6 @@ fn incremental_steady_state_does_not_allocate() {
     );
 }
 
-#[test]
 fn device_steady_state_does_not_allocate() {
     // same contract for the simulated-GPU backend, in both pipeline
     // shapes: the fused per-cell kernels must reuse the workspace's lane
@@ -222,7 +220,6 @@ fn device_steady_state_does_not_allocate() {
     }
 }
 
-#[test]
 fn pooled_dispatch_steady_state_does_not_allocate() {
     // the worker-pool contract: after construction spawns the long-lived
     // workers, a parallel dispatch is pure synchronization — publishing
@@ -238,13 +235,13 @@ fn pooled_dispatch_steady_state_does_not_allocate() {
     // or lock state settle before the measured window
     for _ in 0..3 {
         exec.map_ranges_into(4096, 128, &mut out, |r| r.sum::<usize>());
-        exec.all(4096, 128, |i| i < 4096);
+        exec.all(4096, 128, |mut r| r.all(|i| i < 4096));
     }
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..100 {
         exec.map_ranges_into(4096, 128, &mut out, |r| r.sum::<usize>());
-        exec.all(4096, 128, |i| i < 4096);
+        exec.all(4096, 128, |mut r| r.all(|i| i < 4096));
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(after - before, 0, "pooled dispatch must not touch the heap");
@@ -295,7 +292,6 @@ fn pooled_dispatch_steady_state_does_not_allocate() {
     );
 }
 
-#[test]
 fn sharded_steady_state_does_not_allocate() {
     // the sharding contract's steady-state clause: once converged, member
     // lists are stable, the exchange buffer stays empty, and a full
@@ -339,4 +335,34 @@ fn sharded_steady_state_does_not_allocate() {
         0,
         "sharded steady-state iterations must not touch the heap"
     );
+}
+
+fn main() {
+    let checks: [(&str, fn()); 5] = [
+        (
+            "steady_state_iterations_do_not_allocate",
+            steady_state_iterations_do_not_allocate,
+        ),
+        (
+            "incremental_steady_state_does_not_allocate",
+            incremental_steady_state_does_not_allocate,
+        ),
+        (
+            "device_steady_state_does_not_allocate",
+            device_steady_state_does_not_allocate,
+        ),
+        (
+            "pooled_dispatch_steady_state_does_not_allocate",
+            pooled_dispatch_steady_state_does_not_allocate,
+        ),
+        (
+            "sharded_steady_state_does_not_allocate",
+            sharded_steady_state_does_not_allocate,
+        ),
+    ];
+    for (name, check) in checks {
+        check();
+        println!("test {name} ... ok");
+    }
+    println!("\ntest result: ok. {} passed", checks.len());
 }

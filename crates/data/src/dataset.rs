@@ -19,8 +19,25 @@ impl Dataset {
     /// Create a dataset from row-major coordinates.
     ///
     /// # Panics
-    /// Panics if `dim == 0` or `coords.len()` is not a multiple of `dim`.
+    /// Panics if `dim == 0`, `coords.len()` is not a multiple of `dim`, or
+    /// a coordinate is NaN or infinite: synchronization cannot place such a
+    /// point in any cell, so no clustering of it exists.
     pub fn from_coords(coords: Vec<f64>, dim: usize) -> Self {
+        if let Some(i) = coords.iter().position(|x| !x.is_finite()) {
+            panic!(
+                "point {} has the non-finite coordinate {} in dimension {}",
+                i / dim.max(1),
+                coords[i],
+                i % dim.max(1)
+            );
+        }
+        Self::from_finite_coords(coords, dim)
+    }
+
+    /// [`Dataset::from_coords`] for coordinates already known to be finite
+    /// (checked while parsing, or derived from a dataset), skipping the
+    /// second pass over them.
+    pub(crate) fn from_finite_coords(coords: Vec<f64>, dim: usize) -> Self {
         assert!(dim > 0, "dimensionality must be positive");
         assert_eq!(
             coords.len() % dim,
@@ -29,6 +46,7 @@ impl Dataset {
             coords.len(),
             dim
         );
+        debug_assert!(coords.iter().all(|x| x.is_finite()));
         Self { coords, dim }
     }
 
@@ -84,9 +102,13 @@ impl Dataset {
     /// Append a point.
     ///
     /// # Panics
-    /// Panics on dimensionality mismatch.
+    /// Panics on dimensionality mismatch or a non-finite coordinate.
     pub fn push(&mut self, point: &[f64]) {
         assert_eq!(point.len(), self.dim, "point dimensionality mismatch");
+        assert!(
+            point.iter().all(|x| x.is_finite()),
+            "point has a non-finite coordinate: {point:?}"
+        );
         self.coords.extend_from_slice(point);
     }
 
@@ -126,20 +148,24 @@ impl Dataset {
         let mut coords = Vec::with_capacity(self.coords.len());
         for p in self.coords.chunks_exact(self.dim) {
             for d in 0..self.dim {
-                coords.push(if span[d] > 0.0 {
+                coords.push(if span[d] == 0.0 {
+                    0.0
+                } else if span[d].is_finite() {
                     (p[d] - min[d]) / span[d]
                 } else {
-                    0.0
+                    // the span overflows f64 (e.g. -1e308..1e308): halve
+                    // every term so no difference overflows
+                    (p[d] / 2.0 - min[d] / 2.0) / (max[d] / 2.0 - min[d] / 2.0)
                 });
             }
         }
-        Self::from_coords(coords, self.dim)
+        Self::from_finite_coords(coords, self.dim)
     }
 
     /// Keep only the first `n` points (used to scale experiments down).
     pub fn truncated(&self, n: usize) -> Self {
         let keep = n.min(self.len());
-        Self::from_coords(self.coords[..keep * self.dim].to_vec(), self.dim)
+        Self::from_finite_coords(self.coords[..keep * self.dim].to_vec(), self.dim)
     }
 
     /// Heap bytes used by the coordinate storage.
@@ -174,6 +200,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "point 1 has the non-finite coordinate NaN in dimension 0")]
+    fn nan_coordinate_rejected() {
+        Dataset::from_coords(vec![1.0, 2.0, f64::NAN, 4.0], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite coordinate inf in dimension 1")]
+    fn infinite_coordinate_rejected() {
+        Dataset::from_rows(&[vec![1.0, f64::INFINITY]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn pushed_infinity_rejected() {
+        Dataset::empty(2).push(&[0.5, f64::NEG_INFINITY]);
+    }
+
+    #[test]
     fn bounds_and_normalization() {
         let d = Dataset::from_coords(vec![-100.0, 0.0, 100.0, 50.0, 0.0, 25.0], 2);
         let (min, max) = d.bounds().unwrap();
@@ -191,6 +235,15 @@ mod tests {
         for p in d.normalized().iter() {
             assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)));
         }
+    }
+
+    #[test]
+    fn normalization_survives_a_span_beyond_f64_max() {
+        let d = Dataset::from_coords(vec![-1e308, 0.0, 1e308, 1.0, 0.0, 0.5], 2);
+        let n = d.normalized();
+        assert_eq!(n.point(0), &[0.0, 0.0]);
+        assert_eq!(n.point(1), &[1.0, 1.0]);
+        assert_eq!(n.point(2), &[0.5, 0.5]);
     }
 
     #[test]

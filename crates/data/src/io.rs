@@ -22,6 +22,16 @@ pub enum CsvError {
         /// The raw field text.
         field: String,
     },
+    /// A field that parses to NaN or an infinity (`NaN`, `inf`, `1e400`):
+    /// no clustering of such a point exists.
+    NonFinite {
+        /// 1-based line number of the offending field.
+        line: usize,
+        /// 1-based column of the offending field.
+        column: usize,
+        /// The raw field text.
+        field: String,
+    },
     /// A row whose arity differs from the first row.
     RaggedRow {
         /// 1-based line number of the offending row.
@@ -39,6 +49,16 @@ impl std::fmt::Display for CsvError {
             CsvError::Io(e) => write!(f, "I/O error: {e}"),
             CsvError::BadField { line, field } => {
                 write!(f, "line {line}: cannot parse field '{field}' as a number")
+            }
+            CsvError::NonFinite {
+                line,
+                column,
+                field,
+            } => {
+                write!(
+                    f,
+                    "line {line}, column {column}: '{field}' is not a finite number"
+                )
             }
             CsvError::RaggedRow {
                 line,
@@ -78,6 +98,13 @@ pub fn read_csv<R: BufRead>(reader: R) -> Result<Dataset, CsvError> {
                 line: line_no,
                 field: field.to_owned(),
             })?;
+            if !value.is_finite() {
+                return Err(CsvError::NonFinite {
+                    line: line_no,
+                    column: count + 1,
+                    field: field.to_owned(),
+                });
+            }
             coords.push(value);
             count += 1;
         }
@@ -91,7 +118,8 @@ pub fn read_csv<R: BufRead>(reader: R) -> Result<Dataset, CsvError> {
             });
         }
     }
-    Ok(Dataset::from_coords(coords, dim.max(1)))
+    // every value was checked finite as it was parsed
+    Ok(Dataset::from_finite_coords(coords, dim.max(1)))
 }
 
 /// Read a dataset from a CSV file on disk.
@@ -177,6 +205,24 @@ mod tests {
                 assert_eq!(field, "oops");
             }
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_fields_are_reported_with_line_and_column() {
+        for (text, column, field) in [
+            ("1,2\n3,NaN\n", 2, "NaN"),
+            ("1,2\n-inf,4\n", 1, "-inf"),
+            ("1,2\n3,1e400\n", 2, "1e400"),
+        ] {
+            match read_csv(text.as_bytes()).unwrap_err() {
+                CsvError::NonFinite {
+                    line,
+                    column: c,
+                    field: f,
+                } => assert_eq!((line, c, f.as_str()), (2, column, field), "{text:?}"),
+                other => panic!("unexpected error {other:?}"),
+            }
         }
     }
 

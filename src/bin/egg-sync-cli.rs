@@ -3,15 +3,19 @@
 //! ```text
 //! egg-sync-cli cluster  --input points.csv [--epsilon 0.05 | --auto-epsilon]
 //!                       [--algorithm egg|exact|sync|fsync|mpsync|gpusync]
-//!                       [--no-normalize] [--output labels.csv]
+//!                       [--allow-unconverged] [--no-normalize]
+//!                       [--output labels.csv]
 //! egg-sync-cli outliers --input points.csv --epsilon 0.05 [--threshold 0.9]
 //! egg-sync-cli generate --n 1000 [--dim 2] [--clusters 5] [--std 5.0]
 //!                       [--seed 42] --output points.csv
 //! ```
 //!
-//! Input is headerless CSV, one point per line. `cluster --output` writes
-//! the input coordinates with the cluster label appended as a final
-//! column.
+//! Input is headerless CSV, one point per line; a NaN or infinite value
+//! is an error naming its line and column. `cluster --output` writes the
+//! input coordinates with the cluster label appended as a final column.
+//! A `cluster` run that stops at the iteration cap before its termination
+//! criterion holds fails (exit 1, no output written) unless
+//! `--allow-unconverged` is given.
 
 use std::process::ExitCode;
 
@@ -48,7 +52,8 @@ fn print_usage() {
          USAGE:\n\
          \x20 egg-sync-cli cluster  --input <csv> [--epsilon <e> | --auto-epsilon]\n\
          \x20                       [--algorithm egg|exact|sync|fsync|mpsync|gpusync]\n\
-         \x20                       [--no-normalize] [--output <csv>]\n\
+         \x20                       [--allow-unconverged] [--no-normalize]\n\
+         \x20                       [--output <csv>]\n\
          \x20 egg-sync-cli outliers --input <csv> --epsilon <e> [--threshold <t>]\n\
          \x20 egg-sync-cli generate --n <count> [--dim <d>] [--clusters <k>]\n\
          \x20                       [--std <sigma>] [--seed <s>] --output <csv>\n"
@@ -105,6 +110,19 @@ fn make_algorithm(name: &str, epsilon: f64) -> Result<Box<dyn ClusterAlgorithm>,
     })
 }
 
+/// Refuses a run that hit the iteration cap before its termination
+/// criterion held, unless the caller accepts unconverged labels.
+fn require_converged(clustering: &Clustering, allow_unconverged: bool) -> Result<(), String> {
+    if clustering.converged || allow_unconverged {
+        return Ok(());
+    }
+    Err(format!(
+        "not converged after {} iterations; the labels are not a clustering \
+         (pass --allow-unconverged to accept them)",
+        clustering.iterations
+    ))
+}
+
 fn cmd_cluster(args: &[String]) -> Result<(), String> {
     let flags = Flags { args };
     let data = load_input(&flags, !flags.present("--no-normalize"))?;
@@ -127,8 +145,8 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
         let epsilon: f64 = flags
             .parsed("--epsilon")?
             .ok_or("--epsilon <e> (or --auto-epsilon) is required")?;
-        if epsilon <= 0.0 {
-            return Err("--epsilon must be positive".into());
+        if !(epsilon.is_finite() && epsilon > 0.0) {
+            return Err("--epsilon must be a positive finite number".into());
         }
         make_algorithm(algorithm, epsilon)?.cluster(&data)
     };
@@ -146,6 +164,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     println!("largest clusters: {:?}", &sizes[..sizes.len().min(10)]);
     println!("outliers (singletons): {}", clustering.outliers().len());
 
+    require_converged(&clustering, flags.present("--allow-unconverged"))?;
     if let Some(path) = flags.value("--output") {
         io::write_csv_file(path, &data, Some(&clustering.labels))
             .map_err(|e| format!("writing {path}: {e}"))?;
@@ -202,4 +221,36 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         spec.clusters
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A pair within ε but in different cells, capped at one iteration:
+    /// the run stops before the termination criterion holds.
+    fn unconverged_run() -> Clustering {
+        let data = Dataset::from_rows(&[vec![0.5, 0.5], vec![0.53, 0.5], vec![0.1, 0.9]]);
+        let mut egg = EggSync::new(0.05);
+        egg.max_iterations = 1;
+        egg.cluster(&data)
+    }
+
+    #[test]
+    fn unconverged_run_is_refused_unless_allowed() {
+        let clustering = unconverged_run();
+        assert!(!clustering.converged);
+        let err = require_converged(&clustering, false).unwrap_err();
+        assert!(err.contains("not converged after 1 iterations"), "{err}");
+        assert!(err.contains("--allow-unconverged"), "{err}");
+        assert!(require_converged(&clustering, true).is_ok());
+    }
+
+    #[test]
+    fn converged_run_passes_the_gate() {
+        let data = Dataset::from_rows(&[vec![0.5, 0.5], vec![0.53, 0.5], vec![0.1, 0.9]]);
+        let clustering = EggSync::new(0.05).cluster(&data);
+        assert!(clustering.converged);
+        assert!(require_converged(&clustering, false).is_ok());
+    }
 }

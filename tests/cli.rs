@@ -170,3 +170,77 @@ fn bad_csv_is_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("line 2"));
 }
+
+#[test]
+fn non_finite_input_is_rejected_with_line_and_column() {
+    for (name, csv, needle) in [
+        ("nan.csv", "0.1,0.2\n0.3,NaN\n", "line 2, column 2"),
+        ("inf.csv", "0.1,0.2\n0.3,0.4\ninf,0.5\n", "line 3, column 1"),
+    ] {
+        let data_path = temp_path(name);
+        std::fs::write(&data_path, csv).expect("write");
+        let out = cli()
+            .args([
+                "cluster",
+                "--input",
+                data_path.to_str().unwrap(),
+                "--epsilon",
+                "0.05",
+            ])
+            .output()
+            .expect("run");
+        assert!(!out.status.success(), "{name} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{name}: {stderr}");
+        assert!(stderr.contains("not a finite number"), "{name}: {stderr}");
+    }
+
+    // a non-finite ε is refused before any grid is built
+    let data_path = temp_path("finite.csv");
+    std::fs::write(&data_path, "0.1,0.2\n0.3,0.4\n").expect("write");
+    let out = cli()
+        .args([
+            "cluster",
+            "--input",
+            data_path.to_str().unwrap(),
+            "--epsilon",
+            "NaN",
+        ])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("positive finite"), "{stderr}");
+}
+
+#[test]
+fn allow_unconverged_is_accepted_and_documented() {
+    // the refusal itself is unit-tested in the binary; here the flag must
+    // parse on a run that converges, and appear in the usage text
+    let data_path = temp_path("allow_unconverged.csv");
+    let labels_path = temp_path("allow_unconverged_labels.csv");
+    std::fs::write(&data_path, "0.5,0.5\n0.53,0.5\n0.1,0.9\n").expect("write");
+    let out = cli()
+        .args([
+            "cluster",
+            "--input",
+            data_path.to_str().unwrap(),
+            "--epsilon",
+            "0.05",
+            "--no-normalize",
+            "--allow-unconverged",
+            "--output",
+            labels_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run cluster");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(labels_path.exists());
+
+    let help = cli().arg("--help").output().expect("run help");
+    assert!(String::from_utf8_lossy(&help.stdout).contains("--allow-unconverged"));
+}
